@@ -8,7 +8,7 @@ awkward rank counts, in the model and in a measured run.
 """
 
 import numpy as np
-from repro.algorithms import conflux_lu
+from repro.algorithms import factor
 from repro.algorithms.gridopt import optimize_grid_25d
 from repro.harness import format_table
 
@@ -64,8 +64,9 @@ def test_gridopt_measured_on_awkward_p(benchmark, show):
     def run():
         a = np.random.default_rng(5).standard_normal((n, n))
         choice = optimize_grid_25d(11, n)
-        res = conflux_lu(
-            a, 11, grid=(choice.grid_rows, choice.grid_rows, choice.layers)
+        res = factor(
+            "conflux", a, 11,
+            grid=(choice.grid_rows, choice.grid_rows, choice.layers),
         )
         return choice, res
 

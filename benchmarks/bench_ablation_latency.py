@@ -11,7 +11,7 @@ merge-tree + broadcast per v-wide panel (N/v rounds).
 """
 
 import numpy as np
-from repro.algorithms import conflux_lu, scalapack2d_lu
+from repro.algorithms import factor
 from repro.harness import format_table
 
 
@@ -22,7 +22,7 @@ def test_pivoting_message_counts(benchmark, show):
         a = np.random.default_rng(5).standard_normal((n, n))
         rows = []
         for v in (8, 16, 32):
-            res = conflux_lu(a, p, grid=(4, 4, 1), v=v)
+            res = factor("conflux", a, p, grid=(4, 4, 1), v=v)
             rows.append(
                 {
                     "impl": f"conflux v={v}",
@@ -33,7 +33,7 @@ def test_pivoting_message_counts(benchmark, show):
                     + res.volume.phase_messages.get("bcast_a00", 0),
                 }
             )
-        res = scalapack2d_lu(a, p, grid=(4, 4), nb=16)
+        res = factor("scalapack2d", a, p, grid=(4, 4), nb=16)
         rows.append(
             {
                 "impl": "scalapack2d",
@@ -75,7 +75,7 @@ def test_latency_volume_tradeoff_summary(benchmark, show):
         a = np.random.default_rng(6).standard_normal((n, n))
         rows = []
         for v in (4, 8, 16, 32):
-            res = conflux_lu(a, p, grid=(4, 4, 1), v=v)
+            res = factor("conflux", a, p, grid=(4, 4, 1), v=v)
             rows.append(
                 {
                     "v": v,

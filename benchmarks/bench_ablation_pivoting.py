@@ -10,7 +10,7 @@ same matrices and sweeps the replication depth.
 import numpy as np
 import pytest
 
-from repro.algorithms import candmc25d_lu, conflux_lu
+from repro.algorithms import factor
 from repro.harness import format_table
 
 
@@ -22,8 +22,8 @@ def test_masking_vs_swapping_volume(benchmark, show):
         for c in (1, 2, 4):
             a = np.random.default_rng(7).standard_normal((n, n))
             p = g * g * c
-            masked = conflux_lu(a, p, grid=(g, g, c), v=v)
-            swapped = candmc25d_lu(a, p, grid=(g, g, c), v=v)
+            masked = factor("conflux", a, p, grid=(g, g, c), v=v)
+            swapped = factor("candmc25d", a, p, grid=(g, g, c), v=v)
             rows.append(
                 {
                     "c": c,
@@ -65,7 +65,7 @@ def test_swap_traffic_scales_with_replication(benchmark, show):
         a = np.random.default_rng(11).standard_normal((n, n))
         out = {}
         for c in (2, 4):
-            res = candmc25d_lu(a, g * g * c, grid=(g, g, c), v=v)
+            res = factor("candmc25d", a, g * g * c, grid=(g, g, c), v=v)
             out[c] = res.volume.phase_bytes["row_swap"]
         return out
 
@@ -83,7 +83,7 @@ def test_masking_index_traffic_is_negligible(benchmark, show):
 
     def run():
         a = np.random.default_rng(13).standard_normal((n, n))
-        return conflux_lu(a, g * g * c, grid=(g, g, c), v=v)
+        return factor("conflux", a, g * g * c, grid=(g, g, c), v=v)
 
     res = benchmark.pedantic(run, rounds=1, iterations=1)
     # ids are 8 bytes x v per step x (P-1) receivers, inside bcast_a00

@@ -3,8 +3,9 @@
 The ``chaos-lu`` / ``chaos-qr`` sweeps factor under every canned fault
 class (delay, drop, duplicate, reorder, bitflip, crash) and classify
 each run against ground truth: *detected* (a typed error surfaced),
-*recovered* (completed, residual within tolerance) or
-*silent-corruption* (completed wrong).  This benchmark freezes the
+*recovered* (a fault fired, completed, residual within tolerance),
+*silent-corruption* (completed wrong) or *not-injected* (the rule
+never fired, so the run says nothing).  This benchmark freezes the
 per-class detection / recovery / silent-corruption rates — and a
 digest of every run's canonical fault log — into a machine-readable
 artifact, following the ``BENCH_service.json`` pattern.
@@ -29,12 +30,12 @@ import copy
 import json
 import sys
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Sweeps each benchmark run exercises (registry names).
 CHAOS_SWEEPS = ("chaos-lu", "chaos-qr")
 
-OUTCOMES = ("detected", "recovered", "silent-corruption")
+OUTCOMES = ("detected", "recovered", "silent-corruption", "not-injected")
 
 #: Per-point fields carried into the artifact.  ``elapsed`` and other
 #: wall-clock observables are deliberately absent — a point row must
@@ -219,6 +220,7 @@ def test_chaos_trajectory_artifact(benchmark, show):
             "detected": cls["detected"],
             "recovered": cls["recovered"],
             "silent": cls["silent-corruption"],
+            "not_injected": cls["not-injected"],
         }
         for run in doc["runs"]
         for fault_class, cls in sorted(run["rates"].items())
@@ -231,14 +233,18 @@ def test_chaos_trajectory_artifact(benchmark, show):
             ("detected", "detected"),
             ("recovered", "recovered"),
             ("silent", "silent corruption"),
+            ("not_injected", "not injected"),
         ],
         title="Chaos trajectory (outcomes per fault class)",
     ))
     for run in doc["runs"]:
-        # a plan whose rule never fired must leave the run clean
+        # a plan whose rule never fired must leave the run clean, and
+        # is never counted as a recovery
         for point in run["points"]:
             if point["n_injected"] == 0:
-                assert point["outcome"] == "recovered"
+                assert point["outcome"] == "not-injected"
+            if point["outcome"] == "recovered":
+                assert point["n_injected"] > 0
         if run["sweep"] == "chaos-lu":
             # pure delays never corrupt values; lost messages must
             # surface as typed errors, never as silent corruption

@@ -27,10 +27,10 @@ import json
 import sys
 import tempfile
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Dispatch policies each benchmark run exercises.
-POLICIES = ("fifo", "least-loaded", "batch")
+POLICIES = ("fifo", "least-loaded")
 
 #: Artifact schema, hand-rolled (no jsonschema dependency in the
 #: container): field name -> required type(s), per run block.
@@ -93,7 +93,6 @@ def service_runs(
                     "cache_hit_rate": metrics["cache_hit_rate"],
                     "max_queue_depth": metrics["max_queue_depth"],
                     "worker_executions": metrics["worker_executions"],
-                    "worker_launches": metrics["worker_launches"],
                 },
             }
         )

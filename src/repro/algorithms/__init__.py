@@ -39,10 +39,6 @@ Every factorization returns a
 factors, the row permutation, the residual ``||P A - L U|| / ||A||``
 (for QR: ``||A - Q R|| / ||A||`` with the orthogonality defect in
 ``meta``) and the full communication-volume report.
-
-The historical per-algorithm entry points (``conflux_lu``,
-``caqr25d_qr``, ...) remain importable but are deprecated shims over
-:func:`factor`.
 """
 
 from repro.algorithms.api import (
@@ -57,22 +53,23 @@ from repro.algorithms.base import (
     FactorCheck,
     FactorResult,
     FactorVerificationError,
-    IMPLEMENTATIONS,
     check_factors,
-    factor_by_name,
     verify_factors,
     verify_qr_factors,
 )
 from repro.algorithms.schedule25d import Rank25D, Schedule25D
-from repro.algorithms.conflux import conflux_lu
-from repro.algorithms.cholesky25d import cholesky25d_lu
-from repro.algorithms.caqr25d import caqr25d_qr
-from repro.algorithms import confqr as _confqr  # noqa: F401 (registers)
-from repro.algorithms.qr2d import qr2d_householder
+# Importing each implementation module registers it in REGISTRY.
+from repro.algorithms import (  # noqa: F401
+    candmc25d,
+    caqr25d,
+    cholesky25d,
+    confqr,
+    conflux,
+    qr2d,
+    scalapack2d,
+    slate2d,
+)
 from repro.algorithms.mmm25d import mmm25d, mmm25d_model_bytes
-from repro.algorithms.scalapack2d import scalapack2d_lu
-from repro.algorithms.slate2d import slate2d_lu
-from repro.algorithms.candmc25d import candmc25d_lu
 from repro.algorithms.gridopt import (
     GridChoice,
     optimize_grid_25d,
@@ -85,27 +82,18 @@ __all__ = [
     "FactorResult",
     "FactorVerificationError",
     "GridChoice",
-    "IMPLEMENTATIONS",
     "REGISTRY",
     "Rank25D",
     "Schedule25D",
-    "candmc25d_lu",
-    "caqr25d_qr",
     "check_factors",
-    "cholesky25d_lu",
     "choose_grid_2d",
-    "conflux_lu",
     "factor",
-    "factor_by_name",
     "get_algorithm",
     "list_algorithms",
     "mmm25d",
     "mmm25d_model_bytes",
     "optimize_grid_25d",
-    "qr2d_householder",
     "register_algorithm",
-    "scalapack2d_lu",
-    "slate2d_lu",
     "verify_factors",
     "verify_qr_factors",
 ]

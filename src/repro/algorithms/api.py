@@ -15,21 +15,16 @@ use one signature for the whole family::
 omitted, validates the input dtype against the declared capabilities,
 and rejects non-factorization kinds (``mmm25d`` computes a product and
 keeps its own signature).
-
-The historical per-algorithm entry points (``conflux_lu``,
-``caqr25d_qr``, ...) remain importable as :func:`deprecated_alias`
-shims that warn once per process and delegate here bit-identically.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from repro.algorithms.base import IMPLEMENTATIONS, FactorResult
+from repro.algorithms.base import FactorResult
 
 KINDS = ("lu", "qr", "chol", "mmm")
 GRID_FAMILIES = ("25d", "2d")
@@ -69,12 +64,7 @@ def register_algorithm(
     dtypes: tuple[str, ...] = ("float64", "float32"),
     block_param: str = "v",
 ):
-    """Register an implementation with its capability metadata.
-
-    Also fills the legacy name -> function map
-    (:data:`repro.algorithms.base.IMPLEMENTATIONS`) so existing
-    ``factor_by_name`` callers keep working unchanged.
-    """
+    """Register an implementation with its capability metadata."""
     if kind not in KINDS:
         raise ValueError(f"kind {kind!r} not in {KINDS}")
     if grid_family not in GRID_FAMILIES:
@@ -92,7 +82,6 @@ def register_algorithm(
             dtypes=tuple(dtypes),
             block_param=block_param,
         )
-        IMPLEMENTATIONS[name] = fn
         return fn
 
     return deco
@@ -202,41 +191,3 @@ def factor(
         opts["grid"] = tuple(grid)
     return info.func(a, nranks, **opts)
 
-
-# ----------------------------------------------------------------------
-# deprecation shims for the historical per-algorithm entry points
-# ----------------------------------------------------------------------
-_warned_shims: set[str] = set()
-
-
-def _reset_shim_warnings() -> None:
-    """Testing hook: make every shim warn again on next call."""
-    _warned_shims.clear()
-
-
-def deprecated_alias(old_name: str, new_name: str) -> Callable:
-    """Build a thin shim for a historical entry point.
-
-    The shim warns with :class:`DeprecationWarning` exactly once per
-    process (per alias) and delegates to :func:`factor` with identical
-    arguments — results are bit-identical by construction.
-    """
-
-    def shim(a, nranks=None, grid=None, **kwargs):
-        if old_name not in _warned_shims:
-            _warned_shims.add(old_name)
-            warnings.warn(
-                f"{old_name}() is deprecated; use "
-                f"repro.algorithms.factor({new_name!r}, ...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return factor(new_name, a, nranks, grid=grid, **kwargs)
-
-    shim.__name__ = old_name
-    shim.__qualname__ = old_name
-    shim.__doc__ = (
-        f"Deprecated alias for ``factor({new_name!r}, ...)``; warns "
-        f"once per process with DeprecationWarning."
-    )
-    return shim

@@ -217,27 +217,3 @@ def validate_input_matrix(a: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     return arr
 
-
-# Filled by repro.algorithms.__init__ imports at module import time; the
-# registry maps implementation names to their factor functions.
-IMPLEMENTATIONS: dict[str, object] = {}
-
-
-def register(name: str):
-    def deco(fn):
-        IMPLEMENTATIONS[name] = fn
-        return fn
-
-    return deco
-
-
-def factor_by_name(name: str, a: np.ndarray, nranks: int, **kw) -> FactorResult:
-    """Dispatch to a registered implementation by name."""
-    try:
-        fn = IMPLEMENTATIONS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown implementation {name!r}; available: "
-            f"{sorted(IMPLEMENTATIONS)}"
-        ) from None
-    return fn(a, nranks, **kw)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.api import deprecated_alias, register_algorithm
+from repro.algorithms.api import register_algorithm
 from repro.algorithms.base import (
     FactorResult,
     validate_input_matrix,
@@ -342,7 +342,3 @@ def _factor_candmc25d(
         residual=residual,
         meta={"active_ranks": g * g * c},
     )
-
-
-#: Deprecated alias — use ``factor("candmc25d", ...)``.
-candmc25d_lu = deprecated_alias("candmc25d_lu", "candmc25d")

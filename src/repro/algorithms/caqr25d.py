@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.api import deprecated_alias, register_algorithm
+from repro.algorithms.api import register_algorithm
 from repro.algorithms.base import (
     FactorResult,
     FactorVerificationError,
@@ -363,7 +363,3 @@ def _factor_caqr25d(
             "active_ranks": g * g * c,
         },
     )
-
-
-#: Deprecated alias — use ``factor("caqr25d", ...)``.
-caqr25d_qr = deprecated_alias("caqr25d_qr", "caqr25d")

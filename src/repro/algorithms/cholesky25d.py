@@ -35,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import cholesky as dense_cholesky, solve_triangular
 
-from repro.algorithms.api import deprecated_alias, register_algorithm
+from repro.algorithms.api import register_algorithm
 from repro.algorithms.base import FactorResult, validate_input_matrix
 from repro.algorithms.gridopt import optimize_grid_25d
 from repro.algorithms.schedule25d import Rank25D, StepContext
@@ -290,7 +290,3 @@ def _factor_cholesky25d(
         residual=residual,
         meta={"active_ranks": g * g * c},
     )
-
-
-#: Deprecated alias — use ``factor("cholesky25d", ...)``.
-cholesky25d_lu = deprecated_alias("cholesky25d_lu", "cholesky25d")

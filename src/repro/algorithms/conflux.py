@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.api import deprecated_alias, register_algorithm
+from repro.algorithms.api import register_algorithm
 from repro.algorithms.base import (
     FactorResult,
     validate_input_matrix,
@@ -375,7 +375,3 @@ def _factor_conflux(
         residual=residual,
         meta={"active_ranks": g * g * c},
     )
-
-
-#: Deprecated alias — use ``factor("conflux", ...)``.
-conflux_lu = deprecated_alias("conflux_lu", "conflux")

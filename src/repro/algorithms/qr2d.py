@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from repro.algorithms.api import deprecated_alias, register_algorithm
+from repro.algorithms.api import register_algorithm
 from repro.algorithms.base import (
     FactorResult,
     FactorVerificationError,
@@ -215,7 +215,7 @@ def _factor_qr2d(
 ) -> FactorResult:
     """ScaLAPACK-style 2D Householder QR; returns explicit Q and R.
 
-    Same result contract as :func:`~repro.algorithms.caqr25d.caqr25d_qr`:
+    Same result contract as ``factor("caqr25d", ...)``:
     ``lower`` is Q, ``upper`` is R, identity ``perm``, and
     ``meta["orthogonality"]`` carries ``||Q^T Q - I||_F``.
     """
@@ -262,7 +262,3 @@ def _factor_qr2d(
             "active_ranks": prows * pcols,
         },
     )
-
-
-#: Deprecated alias — use ``factor("qr2d", ...)``.
-qr2d_householder = deprecated_alias("qr2d_householder", "qr2d")

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.api import deprecated_alias, register_algorithm
+from repro.algorithms.api import register_algorithm
 from repro.algorithms.base import (
     FactorResult,
     validate_input_matrix,
@@ -296,7 +296,3 @@ def _factor_scalapack2d(
         "scalapack2d", a, nranks, grid, nb, False, timeout, machine,
         faults,
     )
-
-
-#: Deprecated alias — use ``factor("scalapack2d", ...)``.
-scalapack2d_lu = deprecated_alias("scalapack2d_lu", "scalapack2d")

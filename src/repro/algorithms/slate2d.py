@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.api import deprecated_alias, register_algorithm
+from repro.algorithms.api import register_algorithm
 from repro.algorithms.base import FactorResult
 from repro.algorithms.scalapack2d import _run_2d
 
@@ -43,7 +43,3 @@ def _factor_slate2d(
         "slate2d", a, nranks, grid, nb, True, timeout, machine,
         faults,
     )
-
-
-#: Deprecated alias — use ``factor("slate2d", ...)``.
-slate2d_lu = deprecated_alias("slate2d_lu", "slate2d")

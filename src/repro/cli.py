@@ -9,7 +9,7 @@ bounds   print the I/O lower bound of a kernel (lu / mmm / cholesky)
 plan     Processor Grid Optimization + model predictions for a machine
 models   evaluate the Table 2 models at one (N, P)
 sweep    run the paper's experiment grids through the parallel sweep
-         engine (list / run / resume / show-cache / clear-cache)
+         engine (list / run / show-cache / clear-cache)
 serve    run the factorization service's TCP front-end (newline-
          delimited JSON requests against the algorithm registry)
 loadgen  generate a synthetic workload (Zipf sizes, open/closed loop)
@@ -230,34 +230,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.harness.specs import SPECS, named_spec
     from repro.harness.sweep import run_sweep
 
-    if args.action is not None:
-        # Positional verb form: ``sweep run NAME`` (also list / resume /
-        # show-cache / clear-cache), equivalent to the --flag spelling.
-        verb = args.action.replace("_", "-")
-        needs_name = verb in ("run", "resume")
-        if needs_name and not args.name:
-            print(f"sweep {verb} needs a sweep name (see 'sweep list')",
-                  file=sys.stderr)
-            return 2
-        if not needs_name and args.name:
-            print(f"sweep {verb} takes no sweep name", file=sys.stderr)
-            return 2
-        if verb == "run":
-            args.run = args.name
-        elif verb == "resume":
-            args.resume = args.name
-        elif verb == "list":
-            args.list = True
-        elif verb == "show-cache":
-            args.show_cache = True
-        elif verb == "clear-cache":
-            args.clear_cache = True
-        else:
-            print(f"unknown sweep action {args.action!r}; expected "
-                  f"run, resume, list, show-cache or clear-cache",
-                  file=sys.stderr)
-            return 2
-
     cache_dir = args.cache_dir or default_cache_dir()
     cache = None if args.no_cache else SweepCache(cache_dir)
 
@@ -284,11 +256,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"removed {removed} entries from {cache_dir}")
         return 0
 
-    name = args.run or args.resume
+    name = args.run
     if not name:
-        print("nothing to do: pass 'run NAME', 'resume NAME', 'list', "
-              "'show-cache' or 'clear-cache' (or the --flag forms)",
-              file=sys.stderr)
+        print("nothing to do: pass --run NAME, --list, --show-cache or "
+              "--clear-cache", file=sys.stderr)
         return 2
 
     try:
@@ -438,7 +409,7 @@ def _add_service_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--timeout", type=float, default=60.0,
                         help="per-request timeout in seconds")
     parser.add_argument("--policy", default="fifo",
-                        choices=["fifo", "least-loaded", "batch"],
+                        choices=["fifo", "least-loaded"],
                         help="dispatch policy (default fifo)")
     parser.add_argument("--executor", default="thread",
                         choices=["thread", "process"],
@@ -458,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     f = sub.add_parser("factor", help="run a distributed factorization")
-    f.add_argument("--algo", "--impl", dest="algo", default="conflux",
+    f.add_argument("--algo", default="conflux",
                    metavar="NAME",
                    help="registered algorithm name (see --list)")
     f.add_argument("--list", action="store_true",
@@ -511,21 +482,12 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep",
         help="run experiment grids through the parallel sweep engine",
     )
-    s.add_argument("action", nargs="?", default=None,
-                   metavar="ACTION",
-                   help="run | resume | list | show-cache | "
-                        "clear-cache (positional form of the flags "
-                        "below)")
-    s.add_argument("name", nargs="?", default=None, metavar="NAME",
-                   help="sweep name for 'run' / 'resume'")
     action = s.add_mutually_exclusive_group()
     action.add_argument("--list", action="store_true",
                         help="list the named sweeps and their sizes")
     action.add_argument("--run", metavar="NAME",
-                        help="execute a named sweep")
-    action.add_argument("--resume", metavar="NAME",
-                        help="alias of --run: cached points are skipped, "
-                             "failed/missing ones re-executed")
+                        help="execute a named sweep; cached points are "
+                             "reused, failed/missing ones re-executed")
     action.add_argument("--show-cache", action="store_true",
                         help="summarise the result cache")
     action.add_argument("--clear-cache", action="store_true",
@@ -578,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     lg.add_argument("--seed-pool", type=int, default=8,
                     help="distinct matrices per size (smaller pool = "
                          "more cache hits)")
-    lg.add_argument("--algo", "--impl", dest="algo", default="conflux",
+    lg.add_argument("--algo", default="conflux",
                     help="registered algorithm to request")
     lg.add_argument("--p", type=int, default=4,
                     help="ranks per request")

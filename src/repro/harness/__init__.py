@@ -34,7 +34,6 @@ from repro.harness.runner import ExperimentRecord, run_experiment
 from repro.harness.specs import SPECS, named_spec
 from repro.harness.sweep import (
     PointResult,
-    SkipPoint,
     SweepError,
     SweepPoint,
     SweepResult,
@@ -47,7 +46,6 @@ __all__ = [
     "SPECS",
     "ExperimentRecord",
     "PointResult",
-    "SkipPoint",
     "SweepCache",
     "SweepError",
     "SweepPoint",

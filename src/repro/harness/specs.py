@@ -27,11 +27,6 @@ its sweeps are ``qr-strong``, ``qr-weak`` and ``qr-lower-bound-gap``.
 to zero-argument factories producing the default instance of each
 experiment; the factories also take parameters so the harness functions
 in :mod:`repro.harness.experiments` can build reduced-scale variants.
-
-The ``measured`` task accepts ``backend="mpi"`` for points meant to run
-under a real MPI launch; inside the pool (or without mpi4py installed,
-as in CI) such points raise :class:`SkipPoint` and are reported as
-skipped rather than failed.
 """
 
 from __future__ import annotations
@@ -39,14 +34,14 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from repro.harness.sweep import SkipPoint, SweepSpec, task
+from repro.harness.sweep import SweepSpec, task
 
 # --------------------------------------------------------------------------
 # tasks
 # --------------------------------------------------------------------------
 
 
-@task("measured")
+@task("measured", schema_version=2)
 def measured_task(
     impl: str,
     n: int,
@@ -54,28 +49,17 @@ def measured_task(
     seed: int = 0,
     v: int | None = None,
     nb: int | None = None,
-    backend: str = "sim",
     machine: str | None = None,
 ) -> dict:
     """Factor an N x N matrix with ``impl`` on ``p`` simulated ranks.
 
     ``machine`` (a preset name) additionally runs the discrete-event
     clock, adding predicted seconds to the row.  Points that do not set
-    it hash exactly as before, so existing sweep caches stay valid.
+    it leave it out of their parameters, so their cache keys do not
+    depend on it.
     """
     from repro.harness.runner import run_experiment
-    from repro.smpi.mpi_backend import have_mpi4py
 
-    if backend == "mpi":
-        if not have_mpi4py():
-            raise SkipPoint(
-                "mpi4py not installed; real-MPI point skipped"
-            )
-        raise SkipPoint(
-            "real-MPI points run under mpiexec, not the sweep pool"
-        )
-    if backend != "sim":
-        raise ValueError(f"unknown backend {backend!r}")
     rec = run_experiment(
         impl, n, p, seed=seed, v=v, nb=nb, machine=machine
     )
@@ -241,6 +225,7 @@ def block_size_task(n: int, g: int, c: int, v: int, seed: int = 3) -> dict:
 CHAOS_DETECTED = "detected"
 CHAOS_RECOVERED = "recovered"
 CHAOS_SILENT = "silent-corruption"
+CHAOS_NOT_INJECTED = "not-injected"
 
 #: Fault classes the ``chaos-*`` sweeps span (mirrors
 #: ``repro.faults.ACTIONS``; a test keeps the two aligned without an
@@ -250,7 +235,7 @@ CHAOS_FAULT_CLASSES = (
 )
 
 
-@task("chaos")
+@task("chaos", schema_version=2)
 def chaos_task(
     impl: str,
     n: int,
@@ -271,10 +256,13 @@ def chaos_task(
       :class:`RankFailure`, a dropped message surfaced as
       :class:`DeadlockError`, corruption caught by the assembler's
       own verification, ...);
-    * ``recovered`` — the run completed and the true residual is
-      within ``residual_tol`` (delays and duplicates are absorbed);
+    * ``recovered`` — the run completed, at least one fault fired, and
+      the true residual is within ``residual_tol`` (delays and
+      duplicates are absorbed);
     * ``silent-corruption`` — the run completed but the factors are
-      wrong (a bit flip slipped past structural checks).
+      wrong (a bit flip slipped past structural checks);
+    * ``not-injected`` — the run completed correctly but the plan's
+      rule never fired, so the point says nothing about tolerance.
 
     ``fault_log_digest`` hashes the canonical fault log, so comparing
     two rows compares the *entire* injection history, not just counts.
@@ -333,6 +321,8 @@ def chaos_task(
             f"residual {res.residual:.2e} > {residual_tol:.1e} "
             "but no invariant tripped"
         )
+    elif faults_report["n_injected"] == 0:
+        row["outcome"] = CHAOS_NOT_INJECTED
     else:
         row["outcome"] = CHAOS_RECOVERED
     return row
@@ -374,13 +364,12 @@ def table2_measured_spec(
     points: Sequence[tuple[int, int]] = TABLE2_MEASURED_POINTS,
     impls: Sequence[str] = DEFAULT_IMPLS,
     seed: int = 0,
-    backend: str = "sim",
 ) -> SweepSpec:
     return SweepSpec(
         name="table2",
         task="measured",
         axes={**_np_axis(points), "impl": list(impls)},
-        fixed={"seed": seed, "backend": backend},
+        fixed={"seed": seed},
         derive=_split_np,
         description=(
             "Table 2, measured: simulator runs vs analytic models "
@@ -744,30 +733,10 @@ def chaos_qr_spec(
     )
 
 
-def table2_mpi_spec() -> SweepSpec:
-    """The Table 2 grid addressed to the real-MPI backend.
-
-    Enumerable everywhere; its points skip unless executed under an
-    mpiexec launch with mpi4py present — the CI smoke run exercises
-    exactly that skip path.
-    """
-    import dataclasses
-
-    return dataclasses.replace(
-        table2_measured_spec(backend="mpi"),
-        name="table2-mpi",
-        description=(
-            "Table 2 grid addressed to the real-MPI backend (points "
-            "skip without an mpiexec launch)"
-        ),
-    )
-
-
 #: Public sweep names: ``python -m repro sweep --run <name>``.
 SPECS = {
     "table2": table2_measured_spec,
     "table2-models": table2_models_spec,
-    "table2-mpi": table2_mpi_spec,
     "fig6a": fig6a_measured_spec,
     "fig6a-model": fig6a_model_spec,
     "fig6b": fig6b_measured_spec,

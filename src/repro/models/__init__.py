@@ -28,13 +28,7 @@ from repro.models.api import (
     register_model,
 )
 from repro.models.costmodels import (
-    CostModel,
-    conflux_model,
     conflux_step_breakdown,
-    candmc_model,
-    scalapack2d_model,
-    slate_model,
-    model_by_name,
     MODEL_NAMES,
 )
 from repro.models.machines import (
@@ -57,7 +51,6 @@ from repro.models.prediction import (
 )
 
 __all__ = [
-    "CostModel",
     "DAINT_XC50",
     "IDEAL",
     "LAPTOP_SIM",
@@ -69,21 +62,16 @@ __all__ = [
     "PIZ_DAINT",
     "Prediction",
     "SUMMIT",
-    "candmc_model",
     "choose_c_max_replication",
-    "conflux_model",
     "conflux_step_breakdown",
     "get_model",
     "list_machines",
     "list_models",
     "load_machine",
     "machine_by_name",
-    "model_by_name",
     "predict",
     "reduction_vs_second_best",
     "register_model",
     "resolve_machine",
-    "scalapack2d_model",
-    "slate_model",
     "sweep_models",
 ]

@@ -16,10 +16,6 @@ family::
 M from it when not given explicitly, and — when a machine is present —
 converts the volume into α-β-γ time estimates comparable with the
 discrete-event clock's :class:`~repro.smpi.timing.TimingReport`.
-
-The historical lookup (``model_by_name``) remains importable as a
-warn-once deprecation shim in :mod:`repro.models.costmodels`, returning
-the very same :class:`~repro.models.costmodels.CostModel` objects.
 """
 
 from __future__ import annotations

@@ -19,24 +19,8 @@ Score-P aggregates.  Per-node values (Figure 6's y-axis) divide by P.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
-from dataclasses import dataclass
 
 ELEMENT_SIZE = 8  # double precision, as in the paper's models
-
-
-@dataclass(frozen=True)
-class CostModel:
-    """A named communication model Q(N, P, M) in bytes (total)."""
-
-    name: str
-    total_bytes: Callable[..., float]
-
-    def per_rank_bytes(self, n: int, p: int, m: float, **kw) -> float:
-        return self.total_bytes(n, p, m, **kw) / p
-
-    def total_gb(self, n: int, p: int, m: float, **kw) -> float:
-        return self.total_bytes(n, p, m, **kw) / 1e9
 
 
 def _check_args(n: int, p: int, m: float) -> None:
@@ -191,57 +175,8 @@ def conflux_leading_total_bytes(
     return n**2 * (math.sqrt(p / c) + c) * element_size
 
 
-# ---------------------------------------------------------------------------
-# registry
-# ---------------------------------------------------------------------------
-
-scalapack2d_model = CostModel("scalapack2d", scalapack2d_total_bytes)
-slate_model = CostModel("slate2d", slate_total_bytes)
-candmc_model = CostModel("candmc25d", candmc_total_bytes)
-conflux_model = CostModel("conflux", conflux_total_bytes)
-
+#: LU implementations with volume models (Table 2's rows).
 MODEL_NAMES = ("scalapack2d", "slate2d", "candmc25d", "conflux")
-
-_REGISTRY = {
-    "scalapack2d": scalapack2d_model,
-    "slate2d": slate_model,
-    "candmc25d": candmc_model,
-    "conflux": conflux_model,
-}
-
-
-_warned_model_shims: set[str] = set()
-
-
-def _reset_model_shim_warnings() -> None:
-    """Testing hook: make :func:`model_by_name` warn again on next call."""
-    _warned_model_shims.clear()
-
-
-def model_by_name(name: str) -> CostModel:
-    """Deprecated lookup — use ``repro.models.predict(name, ...)`` or
-    ``repro.models.get_model(name)``.
-
-    Warns with :class:`DeprecationWarning` once per process and returns
-    the very same :class:`CostModel` objects as before, so downstream
-    numbers are bit-identical.
-    """
-    import warnings
-
-    if "model_by_name" not in _warned_model_shims:
-        _warned_model_shims.add("model_by_name")
-        warnings.warn(
-            "model_by_name() is deprecated; use repro.models.predict() "
-            "or repro.models.get_model()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown model {name!r}; choose from {MODEL_NAMES}"
-        ) from None
 
 
 # ---------------------------------------------------------------------------

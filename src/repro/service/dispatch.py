@@ -2,7 +2,7 @@
 
 A policy receives admitted :class:`~repro.service.jobs.Job` envelopes
 via :meth:`put` and hands each worker *units* of work via :meth:`get` —
-a unit is a list of jobs executed in one executor dispatch.  Three
+a unit is a list of jobs executed in one executor dispatch.  Two
 policies ship:
 
 ``fifo``
@@ -12,12 +12,6 @@ policies ship:
     Per-worker queues; each job is routed to the worker with the
     fewest outstanding jobs (queued + in flight).  Avoids head-of-line
     blocking behind one slow job when service times are skewed.
-``batch``
-    Size-aware batching: small problems (``n <= batch_n_max``) that
-    share a shape key (same algorithm / N / P / blocking / machine,
-    any seed) are held for up to ``batch_window_s`` and launched as
-    one unit of at most ``batch_max_size`` jobs — one grid launch
-    amortized over the group.  Larger problems pass straight through.
 
 ``depth()`` reports jobs admitted but not yet handed to a worker; the
 server's admission control bounds it by ``config.queue_depth``.
@@ -123,68 +117,10 @@ class LeastLoadedPolicy(DispatchPolicy):
             queue.put_nowait(SHUTDOWN)
 
 
-class BatchPolicy(DispatchPolicy):
-    """Size-aware batching of small same-shape problems.
-
-    Staged groups are keyed by :meth:`FactorRequest.shape_key` (seed
-    excluded).  A group flushes when it reaches ``batch_max_size`` or
-    when its ``batch_window_s`` timer fires, whichever is first, so a
-    lone request is delayed by at most the window.
-    """
-
-    name = "batch"
-
-    def __init__(self, nworkers: int, config: ServiceConfig) -> None:
-        super().__init__(nworkers, config)
-        self._queue: asyncio.Queue = asyncio.Queue()
-        self._staged: dict[tuple, list[Job]] = {}
-        self._timers: dict[tuple, asyncio.TimerHandle] = {}
-
-    def _flush(self, shape: tuple) -> None:
-        timer = self._timers.pop(shape, None)
-        if timer is not None:
-            timer.cancel()
-        group = self._staged.pop(shape, [])
-        if group:
-            self._queue.put_nowait(group)
-
-    async def put(self, job: Job) -> None:
-        self._pending += 1
-        if (
-            job.request.n > self.config.batch_n_max
-            or self.config.batch_max_size <= 1
-        ):
-            self._queue.put_nowait([job])
-            return
-        shape = job.request.shape_key()
-        group = self._staged.setdefault(shape, [])
-        group.append(job)
-        if len(group) >= self.config.batch_max_size:
-            self._flush(shape)
-        elif shape not in self._timers:
-            loop = asyncio.get_running_loop()
-            self._timers[shape] = loop.call_later(
-                self.config.batch_window_s, self._flush, shape
-            )
-
-    async def get(self, worker_id: int) -> list[Job] | None:
-        unit = await self._queue.get()
-        if unit is not SHUTDOWN:
-            self._pending -= len(unit)
-        return unit
-
-    async def shutdown(self) -> None:
-        for shape in list(self._staged):
-            self._flush(shape)
-        for _ in range(self.nworkers):
-            self._queue.put_nowait(SHUTDOWN)
-
-
 #: Public policy registry: ``ServiceConfig.policy`` names one of these.
 DISPATCH_POLICIES: dict[str, type[DispatchPolicy]] = {
     FifoPolicy.name: FifoPolicy,
     LeastLoadedPolicy.name: LeastLoadedPolicy,
-    BatchPolicy.name: BatchPolicy,
 }
 
 

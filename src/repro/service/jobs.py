@@ -88,7 +88,8 @@ class FactorRequest:
 
     def shape_key(self) -> tuple:
         """Everything but the seed: requests sharing a shape key solve
-        same-shape problems and can be batched into one launch."""
+        same-shape problems (the circuit breaker and service-time EMA
+        key on it)."""
         return (self.impl, self.n, self.p, self.v, self.nb, self.machine)
 
     @classmethod

@@ -50,7 +50,7 @@ from repro.service.jobs import (
 )
 from repro.service.metrics import ServiceMetrics
 from repro.service.resilience import CircuitBreaker, is_transient
-from repro.service.worker import run_factor_batch, run_factor_job
+from repro.service.worker import run_factor_job
 
 #: Fallback estimate of one job's service time before any completes.
 _INITIAL_SERVICE_ESTIMATE_S = 0.05
@@ -66,9 +66,8 @@ _EMA_SHAPE_CAP = 512
 class FactorService:
     """Asyncio job queue in front of ``factor()``.
 
-    ``job_runner`` / ``batch_runner`` default to the real executor
-    functions; tests inject stubs to control service times without
-    monkeypatching.
+    ``job_runner`` defaults to the real executor function; tests inject
+    stubs to control service times without monkeypatching.
     """
 
     def __init__(
@@ -76,18 +75,15 @@ class FactorService:
         config: ServiceConfig | None = None,
         cache: SweepCache | None = None,
         job_runner: Callable[[dict], dict] | None = None,
-        batch_runner: Callable[[list[dict]], list[dict]] | None = None,
     ) -> None:
         self.config = config or ServiceConfig()
         self.cache = cache
         self.metrics = ServiceMetrics()
         self._job_runner = job_runner or run_factor_job
-        self._batch_runner = batch_runner or run_factor_batch
-        #: jobs that reached a worker / executor dispatches made —
-        #: the cache-hit contract ("a repeat matrix never reaches a
-        #: worker") is asserted against these.
+        #: jobs that reached a worker — the cache-hit contract ("a
+        #: repeat matrix never reaches a worker") is asserted against
+        #: this.
         self.worker_executions = 0
-        self.worker_launches = 0
         self.cache_write_failures = 0
         self.worker_retries = 0
         self.breaker_rejections = 0
@@ -321,84 +317,64 @@ class FactorService:
             unit = await self._policy.get(worker_id)
             if unit is SHUTDOWN:
                 return
-            self.worker_launches += 1
-            self.worker_executions += len(unit)
-            self._policy.task_started(worker_id, len(unit))
-            params = [job.request.params() for job in unit]
-            # Batch units group same-shape jobs, so one shape key
-            # stands for the whole unit.
-            shape = unit[0].request.shape_key()
-            start = time.perf_counter()
-            attempt = 0
-            try:
-                while True:
-                    try:
-                        if len(unit) == 1:
-                            rows = [
-                                await loop.run_in_executor(
-                                    self._executor,
-                                    self._job_runner,
-                                    params[0],
-                                )
-                            ]
-                        else:
-                            rows = await loop.run_in_executor(
-                                self._executor, self._batch_runner,
-                                params,
+            # Both policies hand out singleton units.
+            for job in unit:
+                await self._run_job(loop, worker_id, job)
+
+    async def _run_job(self, loop, worker_id: int, job: Job) -> None:
+        self.worker_executions += 1
+        self._policy.task_started(worker_id, 1)
+        params = job.request.params()
+        shape = job.request.shape_key()
+        start = time.perf_counter()
+        attempt = 0
+        try:
+            while True:
+                try:
+                    row = await loop.run_in_executor(
+                        self._executor, self._job_runner, params
+                    )
+                except Exception as exc:
+                    if (
+                        attempt < self._retry_policy.max_retries
+                        and is_transient(exc)
+                    ):
+                        attempt += 1
+                        self.worker_retries += 1
+                        await asyncio.sleep(
+                            self._retry_policy.delay_s(
+                                attempt, key=repr(shape)
                             )
-                        if len(rows) != len(unit):
-                            raise RuntimeError(
-                                f"batch runner returned {len(rows)} "
-                                f"rows for {len(unit)} jobs"
-                            )
-                    except Exception as exc:
-                        if (
-                            attempt < self._retry_policy.max_retries
-                            and is_transient(exc)
-                        ):
-                            attempt += 1
-                            self.worker_retries += 1
-                            await asyncio.sleep(
-                                self._retry_policy.delay_s(
-                                    attempt, key=repr(shape)
-                                )
-                            )
-                            continue
-                        message = f"{type(exc).__name__}: {exc}"
-                        if attempt:
-                            message += (
-                                f" (after {attempt} retr"
-                                f"{'y' if attempt == 1 else 'ies'})"
-                            )
-                        if self._breaker is not None:
-                            self._breaker.record_failure(shape)
-                        for job in unit:
-                            self._resolve(job, STATUS_ERROR, message)
-                        break
-                    else:
-                        elapsed = time.perf_counter() - start
-                        per_job = elapsed / len(unit)
-                        self._ema_service_s = (
-                            (1 - _EMA_ALPHA) * self._ema_service_s
-                            + _EMA_ALPHA * per_job
                         )
-                        prior = self._ema_by_shape.pop(shape, per_job)
-                        self._ema_by_shape[shape] = (
-                            (1 - _EMA_ALPHA) * prior
-                            + _EMA_ALPHA * per_job
+                        continue
+                    message = f"{type(exc).__name__}: {exc}"
+                    if attempt:
+                        message += (
+                            f" (after {attempt} retr"
+                            f"{'y' if attempt == 1 else 'ies'})"
                         )
-                        while len(self._ema_by_shape) > _EMA_SHAPE_CAP:
-                            self._ema_by_shape.pop(
-                                next(iter(self._ema_by_shape))
-                            )
-                        if self._breaker is not None:
-                            self._breaker.record_success(shape)
-                        for job, row in zip(unit, rows):
-                            self._cache_put(job, row, per_job)
-                            self._resolve(job, STATUS_OK, row)
-                        break
-            finally:
-                self._policy.task_done(worker_id, len(unit))
+                    if self._breaker is not None:
+                        self._breaker.record_failure(shape)
+                    self._resolve(job, STATUS_ERROR, message)
+                    return
+                elapsed = time.perf_counter() - start
+                self._ema_service_s = (
+                    (1 - _EMA_ALPHA) * self._ema_service_s
+                    + _EMA_ALPHA * elapsed
+                )
+                prior = self._ema_by_shape.pop(shape, elapsed)
+                self._ema_by_shape[shape] = (
+                    (1 - _EMA_ALPHA) * prior + _EMA_ALPHA * elapsed
+                )
+                while len(self._ema_by_shape) > _EMA_SHAPE_CAP:
+                    self._ema_by_shape.pop(next(iter(self._ema_by_shape)))
+                if self._breaker is not None:
+                    self._breaker.record_success(shape)
+                self._cache_put(job, row, elapsed)
+                self._resolve(job, STATUS_OK, row)
+                return
+        finally:
+            self._policy.task_done(worker_id, 1)
 
     def _cache_put(self, job: Job, row: dict, elapsed_s: float) -> None:
         # Guarded exactly like the sweep engine's finish(): a cache
@@ -425,7 +401,6 @@ class FactorService:
     def metrics_snapshot(self, wall_s: float | None = None) -> dict:
         doc = self.metrics.snapshot(wall_s)
         doc["worker_executions"] = self.worker_executions
-        doc["worker_launches"] = self.worker_launches
         doc["cache_write_failures"] = self.cache_write_failures
         doc["worker_retries"] = self.worker_retries
         doc["breaker_rejections"] = self.breaker_rejections

@@ -17,10 +17,3 @@ def run_factor_job(params: dict) -> dict:
     """One request: resolve and run the ``measured`` task."""
     return get_task(SERVICE_TASK)(**params)
 
-
-def run_factor_batch(params_list: list[dict]) -> list[dict]:
-    """One batched launch: same-shape problems factored back to back
-    in a single executor dispatch (the grid setup cost — layout
-    resolution, runtime spin-up — is paid once per launch rather than
-    once per request on the process executor)."""
-    return [run_factor_job(params) for params in params_list]

@@ -222,14 +222,10 @@ async def run_workload_async(
     spec: WorkloadSpec,
     cache: SweepCache | None = None,
     job_runner=None,
-    batch_runner=None,
 ) -> LoadReport:
     sampler = RequestSampler(spec)
     requests = sampler.request_stream()
-    service = FactorService(
-        config, cache=cache, job_runner=job_runner,
-        batch_runner=batch_runner,
-    )
+    service = FactorService(config, cache=cache, job_runner=job_runner)
     async with service:
         start = time.perf_counter()
         if spec.mode == "closed":
@@ -255,15 +251,11 @@ def run_workload(
     spec: WorkloadSpec,
     cache: SweepCache | None = None,
     job_runner=None,
-    batch_runner=None,
 ) -> LoadReport:
     """Synchronous entry point: generate the stream, serve it, report.
 
     The one-call form the CLI, the benchmark and most tests use.
     """
     return asyncio.run(
-        run_workload_async(
-            config, spec, cache=cache, job_runner=job_runner,
-            batch_runner=batch_runner,
-        )
+        run_workload_async(config, spec, cache=cache, job_runner=job_runner)
     )

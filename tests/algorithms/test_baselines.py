@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import (
-    candmc25d_lu,
-    factor_by_name,
-    scalapack2d_lu,
-    slate2d_lu,
-)
+from repro.algorithms import REGISTRY, factor
 
 
 def _mat(n: int, seed: int = 0) -> np.ndarray:
@@ -31,8 +26,8 @@ class TestScalapack2D:
         ],
     )
     def test_residual(self, pr, pc, nb, n):
-        res = scalapack2d_lu(_mat(n, seed=pr * 10 + pc), pr * pc,
-                             grid=(pr, pc), nb=nb)
+        res = factor("scalapack2d", _mat(n, seed=pr * 10 + pc), pr * pc,
+                     grid=(pr, pc), nb=nb)
         assert res.residual < 1e-12
 
     def test_pivots_match_lapack_exactly(self):
@@ -41,7 +36,7 @@ class TestScalapack2D:
         import scipy.linalg
 
         a = _mat(32, seed=3)
-        res = scalapack2d_lu(a, 4, grid=(2, 2), nb=8)
+        res = factor("scalapack2d", a, 4, grid=(2, 2), nb=8)
         _, lapack_piv = scipy.linalg.lu_factor(a)
         from repro.kernels.linalg import permutation_from_pivots
 
@@ -53,7 +48,7 @@ class TestScalapack2D:
         from repro.kernels.lu_seq import lu_blocked_partial_pivot, split_lu
 
         a = _mat(24, seed=4)
-        res = scalapack2d_lu(a, 4, grid=(2, 2), nb=4)
+        res = factor("scalapack2d", a, 4, grid=(2, 2), nb=4)
         lu, _ = lu_blocked_partial_pivot(a, block=4)
         lower, upper = split_lu(lu)
         np.testing.assert_allclose(res.lower, lower, atol=1e-10)
@@ -62,49 +57,49 @@ class TestScalapack2D:
     def test_zero_pivot_column_handled(self):
         a = _mat(16, seed=5)
         a[:, 0] = 0.0  # singular first column
-        res = scalapack2d_lu(a, 4, grid=(2, 2), nb=4)
+        res = factor("scalapack2d", a, 4, grid=(2, 2), nb=4)
         assert res.residual < 1e-12
 
     def test_needs_pivoting(self):
         a = _mat(16, seed=6)
         a[0, 0] = 0.0
-        res = scalapack2d_lu(a, 4, grid=(2, 2), nb=4)
+        res = factor("scalapack2d", a, 4, grid=(2, 2), nb=4)
         assert res.residual < 1e-12
 
     def test_single_rank_zero_volume(self):
-        res = scalapack2d_lu(_mat(16), 1, grid=(1, 1), nb=4)
+        res = factor("scalapack2d", _mat(16), 1, grid=(1, 1), nb=4)
         assert res.volume.total_bytes == 0
 
     def test_default_grid_is_nearly_square(self):
-        res = scalapack2d_lu(_mat(16, seed=7), 6, nb=4)
+        res = factor("scalapack2d", _mat(16, seed=7), 6, nb=4)
         assert res.grid in [(2, 3), (3, 2)]
         assert res.residual < 1e-12
 
     def test_bad_nb_rejected(self):
         with pytest.raises(ValueError):
-            scalapack2d_lu(_mat(8), 1, nb=0)
+            factor("scalapack2d", _mat(8), 1, nb=0)
 
     def test_oversized_grid_rejected(self):
         with pytest.raises(ValueError, match="ranks"):
-            scalapack2d_lu(_mat(8), 2, grid=(2, 2))
+            factor("scalapack2d", _mat(8), 2, grid=(2, 2))
 
 
 class TestSlate2D:
     def test_residual(self):
-        res = slate2d_lu(_mat(32, seed=8), 4)
+        res = factor("slate2d", _mat(32, seed=8), 4)
         assert res.residual < 1e-12
         assert res.block == 16  # SLATE default, no user tuning
 
     def test_tall_grid_preference(self):
-        res = slate2d_lu(_mat(24, seed=9), 8, nb=4)
+        res = factor("slate2d", _mat(24, seed=9), 8, nb=4)
         pr, pc = res.grid
         assert pr >= pc  # SLATE-ish: tall rather than wide
 
     def test_volume_similar_to_scalapack(self):
         """The paper: "their communication volumes are mostly equal"."""
         a = _mat(64, seed=10)
-        r1 = scalapack2d_lu(a, 4, grid=(2, 2), nb=16)
-        r2 = slate2d_lu(a, 4, grid=(2, 2), nb=16)
+        r1 = factor("scalapack2d", a, 4, grid=(2, 2), nb=16)
+        r2 = factor("slate2d", a, 4, grid=(2, 2), nb=16)
         assert r1.volume.total_bytes == r2.volume.total_bytes
 
 
@@ -121,30 +116,26 @@ class TestCandmc25D:
         ],
     )
     def test_residual(self, g, c, v, n):
-        res = candmc25d_lu(_mat(n, seed=g + 10 * c), g * g * c,
-                           grid=(g, g, c), v=v)
+        res = factor("candmc25d", _mat(n, seed=g + 10 * c), g * g * c,
+                     grid=(g, g, c), v=v)
         assert res.residual < 1e-12
 
     def test_row_swapping_costs_more_than_masking(self):
         """The paper's design argument (Section 7.3): swapping on a
         replicated layout beats masking's O(v) index traffic."""
-        from repro.algorithms import conflux_lu
-
         a = _mat(64, seed=11)
-        masked = conflux_lu(a, 8, grid=(2, 2, 2), v=8)
-        swapped = candmc25d_lu(a, 8, grid=(2, 2, 2), v=8)
+        masked = factor("conflux", a, 8, grid=(2, 2, 2), v=8)
+        swapped = factor("candmc25d", a, 8, grid=(2, 2, 2), v=8)
         assert swapped.volume.total_bytes > masked.volume.total_bytes
         assert "row_swap" in swapped.volume.phase_bytes
         assert "row_swap" not in masked.volume.phase_bytes
 
     def test_full_width_panels_scale_with_c(self):
         """panel_a10 traffic should be ~c x COnfLUX's."""
-        from repro.algorithms import conflux_lu
-
         a = _mat(64, seed=12)
         c = 4
-        masked = conflux_lu(a, 16, grid=(2, 2, c), v=8)
-        swapped = candmc25d_lu(a, 16, grid=(2, 2, c), v=8)
+        masked = factor("conflux", a, 16, grid=(2, 2, c), v=8)
+        swapped = factor("candmc25d", a, 16, grid=(2, 2, c), v=8)
         ratio = (
             swapped.volume.phase_bytes["panel_a10"]
             / masked.volume.phase_bytes["panel_a10"]
@@ -155,16 +146,16 @@ class TestCandmc25D:
         from repro.models.costmodels import candmc_sim_total_bytes
 
         n, g, c, v = 96, 2, 2, 8
-        res = candmc25d_lu(_mat(n, seed=13), g * g * c, grid=(g, g, c), v=v)
+        res = factor(
+            "candmc25d", _mat(n, seed=13), g * g * c, grid=(g, g, c), v=v
+        )
         model = candmc_sim_total_bytes(n, g * g * c, c=c, v=v, grid_rows=g)
         assert 0.8 <= res.volume.total_bytes / model <= 1.1
 
 
 class TestRegistry:
     def test_all_implementations_registered(self):
-        from repro.algorithms import IMPLEMENTATIONS
-
-        assert set(IMPLEMENTATIONS) == {
+        assert set(REGISTRY) == {
             "conflux",
             "scalapack2d",
             "slate2d",
@@ -180,13 +171,13 @@ class TestRegistry:
         "name", ["conflux", "scalapack2d", "slate2d", "candmc25d"]
     )
     def test_dispatch_by_name(self, name):
-        res = factor_by_name(name, _mat(16, seed=14), 4)
+        res = factor(name, _mat(16, seed=14), 4)
         assert res.name == name
         assert res.residual < 1e-12
 
     def test_unknown_name(self):
         with pytest.raises(KeyError, match="unknown"):
-            factor_by_name("mkl", _mat(8), 1)
+            factor("mkl", _mat(8), 1)
 
 
 class TestCrossImplementationAgreement:
@@ -199,7 +190,7 @@ class TestCrossImplementationAgreement:
     def test_all_rebuild_same_matrix(self, seed):
         a = _mat(24, seed=seed)
         for name in ("conflux", "scalapack2d", "slate2d", "candmc25d"):
-            res = factor_by_name(name, a, 4)
+            res = factor(name, a, 4)
             rebuilt = res.lower @ res.upper
             np.testing.assert_allclose(
                 rebuilt, a[res.perm], atol=1e-9,

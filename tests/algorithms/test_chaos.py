@@ -127,6 +127,30 @@ class TestDestructiveClasses:
         assert RankCrashed in kinds
 
 
+class TestChaosClassification:
+    @pytest.mark.parametrize("fault_seed", [0, 1, 2])
+    def test_fault_that_never_fired_is_not_recovered(self, fault_seed):
+        # the canned crash rule targets a step caqr25d never reaches at
+        # this shape: the run completes with an empty fault log
+        from repro.harness.specs import chaos_task
+
+        row = chaos_task(
+            impl="caqr25d", n=48, p=8, fault_class="crash",
+            fault_seed=fault_seed,
+        )
+        assert row["n_injected"] == 0
+        assert row["outcome"] == "not-injected"
+
+    def test_fired_and_absorbed_fault_is_recovered(self):
+        from repro.harness.specs import chaos_task
+
+        row = chaos_task(
+            impl="conflux", n=48, p=8, fault_class="delay", v=4,
+        )
+        assert row["n_injected"] > 0
+        assert row["outcome"] == "recovered"
+
+
 class TestFactorArgValidation:
     def test_fault_seed_requires_faults(self):
         with pytest.raises(ValueError, match="without faults"):

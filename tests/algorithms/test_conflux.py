@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import conflux_lu
+from repro.algorithms import factor
 from repro.models.costmodels import conflux_total_bytes
 from repro.theory.bounds import lu_parallel_lower_bound_leading
 
@@ -16,7 +16,7 @@ def _mat(n: int, seed: int = 0) -> np.ndarray:
 
 class TestCorrectness:
     def test_sequential_grid(self):
-        res = conflux_lu(_mat(16), 1, grid=(1, 1, 1), v=4)
+        res = factor("conflux", _mat(16), 1, grid=(1, 1, 1), v=4)
         assert res.residual < 1e-13
 
     @pytest.mark.parametrize(
@@ -33,21 +33,24 @@ class TestCorrectness:
         ],
     )
     def test_residual_machine_precision(self, g, c, v, n):
-        res = conflux_lu(_mat(n, seed=g * 100 + c), g * g * c, grid=(g, g, c), v=v)
+        res = factor(
+            "conflux", _mat(n, seed=g * 100 + c), g * g * c,
+            grid=(g, g, c), v=v,
+        )
         assert res.residual < 1e-12
 
     def test_ragged_block_size(self):
         """N not divisible by v exercises the short final step."""
-        res = conflux_lu(_mat(30, seed=5), 8, grid=(2, 2, 2), v=7)
+        res = factor("conflux", _mat(30, seed=5), 8, grid=(2, 2, 2), v=7)
         assert res.residual < 1e-12
 
     def test_v_equals_n(self):
         """Single step: the tournament factors the whole matrix."""
-        res = conflux_lu(_mat(12, seed=6), 4, grid=(2, 2, 1), v=12)
+        res = factor("conflux", _mat(12, seed=6), 4, grid=(2, 2, 1), v=12)
         assert res.residual < 1e-12
 
     def test_identity_matrix(self):
-        res = conflux_lu(np.eye(16), 4, grid=(2, 2, 1), v=4)
+        res = factor("conflux", np.eye(16), 4, grid=(2, 2, 1), v=4)
         assert res.residual < 1e-14
         np.testing.assert_allclose(res.lower, np.eye(16), atol=1e-14)
 
@@ -55,15 +58,15 @@ class TestCorrectness:
         """Zero leading pivot: only row exchanges make this factorable."""
         a = _mat(16, seed=7)
         a[0, 0] = 0.0
-        res = conflux_lu(a, 4, grid=(2, 2, 1), v=4)
+        res = factor("conflux", a, 4, grid=(2, 2, 1), v=4)
         assert res.residual < 1e-12
 
     def test_perm_is_permutation(self):
-        res = conflux_lu(_mat(24, seed=8), 8, grid=(2, 2, 2), v=4)
+        res = factor("conflux", _mat(24, seed=8), 8, grid=(2, 2, 2), v=4)
         assert sorted(res.perm.tolist()) == list(range(24))
 
     def test_factors_are_triangular(self):
-        res = conflux_lu(_mat(16, seed=9), 4, grid=(2, 2, 1), v=4)
+        res = factor("conflux", _mat(16, seed=9), 4, grid=(2, 2, 1), v=4)
         assert np.allclose(np.triu(res.lower, 1), 0.0)
         assert np.allclose(np.tril(res.upper, -1), 0.0)
         np.testing.assert_allclose(np.diag(res.lower), np.ones(16))
@@ -71,26 +74,26 @@ class TestCorrectness:
     def test_disabled_ranks_tolerated(self):
         """More ranks than the grid needs: the tail idles (Processor
         Grid Optimization's disabling mechanism)."""
-        res = conflux_lu(_mat(16, seed=10), 6, grid=(2, 2, 1), v=4)
+        res = factor("conflux", _mat(16, seed=10), 6, grid=(2, 2, 1), v=4)
         assert res.residual < 1e-12
         assert res.meta["active_ranks"] == 4
 
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="square"):
-            conflux_lu(_mat(8), 4, grid=(2, 1, 2), v=2)
+            factor("conflux", _mat(8), 4, grid=(2, 1, 2), v=2)
         with pytest.raises(ValueError, match="ranks"):
-            conflux_lu(_mat(8), 2, grid=(2, 2, 1), v=2)
+            factor("conflux", _mat(8), 2, grid=(2, 2, 1), v=2)
         with pytest.raises(ValueError, match="v="):
-            conflux_lu(_mat(8), 4, grid=(1, 1, 4), v=2)
+            factor("conflux", _mat(8), 4, grid=(1, 1, 4), v=2)
 
     def test_auto_grid_runs(self):
-        res = conflux_lu(_mat(16, seed=11), 4)
+        res = factor("conflux", _mat(16, seed=11), 4)
         assert res.residual < 1e-12
 
 
 class TestVolume:
     def test_single_rank_is_communication_free(self):
-        res = conflux_lu(_mat(16), 1, grid=(1, 1, 1), v=4)
+        res = factor("conflux", _mat(16), 1, grid=(1, 1, 1), v=4)
         assert res.volume.total_bytes == 0
 
     def test_measured_close_to_lemma10_model(self):
@@ -98,7 +101,9 @@ class TestVolume:
         COnfLUX; the simulator should match its exact model within a few
         percent (self-deliveries are the main slack)."""
         n, g, c, v = 96, 2, 2, 8
-        res = conflux_lu(_mat(n, seed=12), g * g * c, grid=(g, g, c), v=v)
+        res = factor(
+            "conflux", _mat(n, seed=12), g * g * c, grid=(g, g, c), v=v
+        )
         model = conflux_total_bytes(n, g * g * c, c=c, v=v, grid_rows=g)
         assert 0.85 <= res.volume.total_bytes / model <= 1.05
 
@@ -106,7 +111,7 @@ class TestVolume:
         """The collective phases have closed-form volumes."""
         n, g, c, v = 64, 2, 2, 8
         p = g * g * c
-        res = conflux_lu(_mat(n, seed=13), p, grid=(g, g, c), v=v)
+        res = factor("conflux", _mat(n, seed=13), p, grid=(g, g, c), v=v)
         steps = n // v
         expect_reduce = sum(
             (c - 1) * (n - t * v) * v * 8 for t in range(steps)
@@ -119,8 +124,8 @@ class TestVolume:
         """More layers (memory) => less traffic, the 2.5D promise —
         at a scale where the leading term dominates."""
         n = 128
-        v1 = conflux_lu(_mat(n, seed=14), 16, grid=(4, 4, 1), v=8)
-        v4 = conflux_lu(_mat(n, seed=14), 16, grid=(2, 2, 4), v=8)
+        v1 = factor("conflux", _mat(n, seed=14), 16, grid=(4, 4, 1), v=8)
+        v4 = factor("conflux", _mat(n, seed=14), 16, grid=(2, 2, 4), v=8)
         # c=4 halves sqrt(P/c)+c only at larger scale; here just check
         # both run and the sum of phases equals the total
         for res in (v1, v4):
@@ -129,14 +134,14 @@ class TestVolume:
             )
 
     def test_sent_equals_received(self):
-        res = conflux_lu(_mat(32, seed=15), 8, grid=(2, 2, 2), v=8)
+        res = factor("conflux", _mat(32, seed=15), 8, grid=(2, 2, 2), v=8)
         assert sum(res.volume.sent_bytes) == sum(res.volume.recv_bytes)
 
     def test_above_lower_bound(self):
         """Measured volume (elements) respects the Section 6 bound."""
         n, g, c, v = 128, 2, 2, 8
         p = g * g * c
-        res = conflux_lu(_mat(n, seed=16), p, grid=(g, g, c), v=v)
+        res = factor("conflux", _mat(n, seed=16), p, grid=(g, g, c), v=v)
         m = c * n * n / p
         bound_elements = lu_parallel_lower_bound_leading(n, m, p) * p
         assert res.volume.total_bytes / 8 >= bound_elements * 0.9
@@ -150,12 +155,12 @@ class TestPropertyBased:
     )
     def test_random_matrices_factor(self, seed, n_mult):
         n = 4 * n_mult
-        res = conflux_lu(_mat(n, seed=seed), 4, grid=(2, 2, 1), v=4)
+        res = factor("conflux", _mat(n, seed=seed), 4, grid=(2, 2, 1), v=4)
         assert res.residual < 1e-11
 
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     def test_tournament_growth_bounded(self, seed):
         """|L| entries stay bounded (tournament pivoting stability)."""
-        res = conflux_lu(_mat(32, seed=seed), 8, grid=(2, 2, 2), v=4)
+        res = factor("conflux", _mat(32, seed=seed), 8, grid=(2, 2, 2), v=4)
         assert np.max(np.abs(res.lower)) < 10.0

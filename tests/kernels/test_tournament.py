@@ -169,33 +169,33 @@ class TestAdversarialGrowth:
         the 2^(n-1) cascade; the chunked tournament selects the same
         pivot *rows* in a different order, which breaks the doubling.
         Measured via the full tournament-pivoted LU (conflux)."""
-        from repro.algorithms import conflux_lu
+        from repro.algorithms import factor
 
         n = 16
         a = wilkinson_growth(n)
         lu, _ = lu_partial_pivot(a)
         g_pp = growth_factor(a, np.triu(lu))
-        res = conflux_lu(a, 4, grid=(2, 2, 1), v=4)
+        res = factor("conflux", a, 4, grid=(2, 2, 1), v=4)
         g_t = growth_factor(a, res.upper)
         assert g_pp == pytest.approx(2.0 ** (n - 1))  # GEPP explodes
         assert g_t <= 8.0  # tournament stays bounded
         assert res.residual <= 1e-10
 
     def test_tournament_growth_small_on_kahan(self, kahan_matrix):
-        from repro.algorithms import conflux_lu
+        from repro.algorithms import factor
 
         a = kahan_matrix(16)
-        res = conflux_lu(a, 4, grid=(2, 2, 1), v=4)
+        res = factor("conflux", a, 4, grid=(2, 2, 1), v=4)
         assert growth_factor(a, res.upper) <= 4.0
         assert res.residual <= 1e-10
 
     def test_tournament_growth_small_on_ill_conditioned(
         self, ill_conditioned
     ):
-        from repro.algorithms import conflux_lu
+        from repro.algorithms import factor
 
         a = ill_conditioned(16, cond=1e6, seed=2)
-        res = conflux_lu(a, 4, grid=(2, 2, 1), v=4)
+        res = factor("conflux", a, 4, grid=(2, 2, 1), v=4)
         assert growth_factor(a, res.upper) <= 16.0
         assert res.residual <= 1e-10
 

@@ -36,13 +36,13 @@ class TestLoadgen:
     def test_policy_and_seed_flags_flow_through(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         rc = main([
-            "loadgen", "--requests", "10", "--policy", "batch",
+            "loadgen", "--requests", "10", "--policy", "least-loaded",
             "--seed", "5", "--sizes", "24", "--seed-pool", "2",
             "--json", str(path),
         ])
         assert rc == 0
         doc = json.loads(path.read_text())
-        assert doc["service"]["policy"] == "batch"
+        assert doc["service"]["policy"] == "least-loaded"
         assert doc["workload"]["seed"] == 5
 
     def test_cache_dir_makes_a_second_run_all_hits(self, capsys, tmp_path):

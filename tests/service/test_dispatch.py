@@ -1,4 +1,4 @@
-"""Dispatch policy semantics: ordering, balance, batching."""
+"""Dispatch policy semantics: ordering and balance."""
 
 import asyncio
 
@@ -7,7 +7,6 @@ import pytest
 from repro.service.config import ServiceConfig
 from repro.service.dispatch import (
     DISPATCH_POLICIES,
-    BatchPolicy,
     FifoPolicy,
     LeastLoadedPolicy,
     make_policy,
@@ -31,7 +30,7 @@ def run(coro):
 
 class TestRegistry:
     def test_policies_registered(self):
-        assert set(DISPATCH_POLICIES) == {"fifo", "least-loaded", "batch"}
+        assert set(DISPATCH_POLICIES) == {"fifo", "least-loaded"}
 
     def test_make_policy_unknown_name(self):
         with pytest.raises(KeyError, match="unknown dispatch policy"):
@@ -96,68 +95,3 @@ class TestLeastLoaded:
 
         run(go())
 
-
-class TestBatch:
-    def _config(self, **kw):
-        defaults = dict(
-            policy="batch", batch_window_s=0.01, batch_max_size=3,
-            batch_n_max=64,
-        )
-        defaults.update(kw)
-        return ServiceConfig(**defaults)
-
-    def test_full_group_flushes_immediately(self):
-        async def go():
-            policy = BatchPolicy(1, self._config())
-            for seed in range(3):
-                await policy.put(_job(n=32, seed=seed))
-            unit = await policy.get(0)
-            assert [j.request.seed for j in unit] == [0, 1, 2]
-
-        run(go())
-
-    def test_window_flushes_partial_group(self):
-        async def go():
-            policy = BatchPolicy(1, self._config(batch_window_s=0.01))
-            await policy.put(_job(n=32, seed=0))
-            assert policy.depth() == 1
-            unit = await asyncio.wait_for(policy.get(0), timeout=1.0)
-            assert len(unit) == 1
-
-        run(go())
-
-    def test_different_shapes_never_share_a_unit(self):
-        async def go():
-            policy = BatchPolicy(1, self._config())
-            await policy.put(_job(n=32, seed=0))
-            await policy.put(_job(n=48, seed=0))
-            units = [
-                await asyncio.wait_for(policy.get(0), timeout=1.0)
-                for _ in range(2)
-            ]
-            for unit in units:
-                assert len(unit) == 1
-                assert len({j.request.shape_key() for j in unit}) == 1
-
-        run(go())
-
-    def test_large_problems_pass_straight_through(self):
-        async def go():
-            policy = BatchPolicy(1, self._config(batch_n_max=64))
-            await policy.put(_job(n=128, seed=0))
-            # no window wait: the unit is already queued
-            unit = await asyncio.wait_for(policy.get(0), timeout=0.05)
-            assert len(unit) == 1 and unit[0].request.n == 128
-
-        run(go())
-
-    def test_shutdown_flushes_staged_jobs(self):
-        async def go():
-            policy = BatchPolicy(1, self._config())
-            await policy.put(_job(n=32, seed=0))
-            await policy.shutdown()
-            unit = await policy.get(0)
-            assert len(unit) == 1
-            assert await policy.get(0) is None
-
-        run(go())

@@ -428,11 +428,11 @@ class TestDeterminism:
 
     def test_conflux_runs_are_bit_identical(self):
         import numpy as np
-        from repro.algorithms import conflux_lu
+        from repro.algorithms import factor
 
         a = np.random.default_rng(99).standard_normal((48, 48))
-        r1 = conflux_lu(a, 8, grid=(2, 2, 2), v=4)
-        r2 = conflux_lu(a, 8, grid=(2, 2, 2), v=4)
+        r1 = factor("conflux", a, 8, grid=(2, 2, 2), v=4)
+        r2 = factor("conflux", a, 8, grid=(2, 2, 2), v=4)
         np.testing.assert_array_equal(r1.lower, r2.lower)
         np.testing.assert_array_equal(r1.upper, r2.upper)
         np.testing.assert_array_equal(r1.perm, r2.perm)
@@ -441,10 +441,10 @@ class TestDeterminism:
 
     def test_scalapack_runs_are_bit_identical(self):
         import numpy as np
-        from repro.algorithms import scalapack2d_lu
+        from repro.algorithms import factor
 
         a = np.random.default_rng(98).standard_normal((48, 48))
-        r1 = scalapack2d_lu(a, 4, grid=(2, 2), nb=8)
-        r2 = scalapack2d_lu(a, 4, grid=(2, 2), nb=8)
+        r1 = factor("scalapack2d", a, 4, grid=(2, 2), nb=8)
+        r2 = factor("scalapack2d", a, 4, grid=(2, 2), nb=8)
         np.testing.assert_array_equal(r1.lower, r2.lower)
         assert r1.volume.sent_bytes == r2.volume.sent_bytes

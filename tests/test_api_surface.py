@@ -98,10 +98,3 @@ def test_registry_entries_are_well_formed():
         assert callable(info.func)
         assert info.description
 
-
-def test_every_registered_name_reaches_factor_by_name():
-    """api.register_algorithm also fills the legacy dispatch map."""
-    from repro.algorithms.base import IMPLEMENTATIONS
-
-    for name, info in REGISTRY.items():
-        assert IMPLEMENTATIONS[name] is info.func
