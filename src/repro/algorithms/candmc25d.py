@@ -161,21 +161,19 @@ class _CandmcRank(_ConfluxRank):
         value_rows_post = (
             post_of_pre[mine] if panel_true is not None else None
         )
-        recv_plan_a10 = sched.scatter_rows(
-            t,
+        panel_ranks = np.array([gd.rank_of(i, q, lt) for i in range(g)])
+        c_rows = sched.scatter_rows(
             phase="scatter_a10",
             tag=sched.tag(_TAG_A10_SCATTER, t),
             row_pool=nonpivot_pos,
-            holder=lambda r: gd.rank_of(
-                int(content_from[r]) % g, q, lt
-            ),
+            holders=panel_ranks[content_from[nonpivot_pos] % g],
             values=panel_true,
             value_rows=value_rows_post,
+            w=w,
         )
         a10_rows = sched.assign_1d(nonpivot_pos, self.grid_rank)
         _, u00 = split_lu(a00)
         if len(a10_rows):
-            c_rows = sched.assemble_rows(recv_plan_a10, a10_rows, w)
             a10_vals = trsm_upper(u00, c_rows, side="right")
             self.l_pieces.append(
                 (t, self.orig[a10_rows].copy(), a10_vals)
@@ -184,7 +182,6 @@ class _CandmcRank(_ConfluxRank):
             a10_vals = np.zeros((0, w))
 
         # -- reduce + scatter A01 (pivot rows now at start..start+w) ----
-        trail_cols = self.my_cols[trail_local]
         pivot_positions_now = np.arange(start, start + w)
         my_pivot_pos = pivot_positions_now[
             (pivot_positions_now % g) == self.pi
@@ -206,8 +203,6 @@ class _CandmcRank(_ConfluxRank):
             tag=sched.tag(_TAG_A01_SCATTER, t),
             pivot_ids=pivot_positions_now,
             pivot_true=pivot_true,
-            my_pivot_rows=my_pivot_pos,
-            my_trail_cols=trail_cols,
             my_assigned_cols=a01_cols,
         )
         if len(a01_cols):
@@ -219,22 +214,18 @@ class _CandmcRank(_ConfluxRank):
         # -- full-width panel fetch + chunked Schur update ---------------
         chunk = sched.sender_chunks(w)[self.layer]
         a10_piece, piece_rows = sched.fetch_rows_piece(
-            t,
             phase="panel_a10",
             tag=sched.tag(_TAG_A10_PANEL, t),
             pool=nonpivot_pos,
             vals_1d=a10_vals,
-            my_1d_rows=a10_rows,
             chunk=chunk,
             need_rows_of=lambda rows, i, j: rows[(rows % g) == i],
         )
         a01_piece, piece_cols = sched.fetch_cols_piece(
-            t,
             phase="panel_a01",
             tag=sched.tag(_TAG_A01_PANEL, t),
             pool=all_trailing,
             vals_1d=a01_vals,
-            my_1d_cols=a01_cols,
             chunk=chunk,
         )
         applied = sched.my_chunk(w)

@@ -141,16 +141,16 @@ class _CholeskyRank(Rank25D):
 
         # 4. scatter the below-diagonal panel rows to the 1D layout
         my_l21_rows = sched.assign_1d(below_rows, self.grid_rank)
-        received = sched.scatter_rows(
-            t,
+        panel_ranks = np.array([gd.rank_of(i, q, lt) for i in range(g)])
+        c_rows = sched.scatter_rows(
             phase="scatter_l21",
             tag=sched.tag(_TAG_L21, t),
             row_pool=below_rows,
-            holder=lambda r: gd.rank_of(r % g, q, lt),
+            holders=panel_ranks[below_rows % g],
             values=panel_true,
-            value_rows=mine if panel_true is not None else None,
+            value_rows=mine,
+            w=w,
         )
-        c_rows = sched.assemble_rows(received, my_l21_rows, w)
 
         # 5. local trsm: L21 = C L00^{-T}
         if len(my_l21_rows):
@@ -165,23 +165,19 @@ class _CholeskyRank(Rank25D):
         # 6. panel fetches for the symmetric rank-v update
         chunk = sched.my_chunk(w)
         rows_piece, need_rows = sched.fetch_rows_piece(
-            t,
             phase="panel_rows",
             tag=sched.tag(_TAG_ROWS, t),
             pool=below_rows,
             vals_1d=l21,
-            my_1d_rows=my_l21_rows,
             chunk=chunk,
             need_rows_of=lambda rows, i, j: rows[(rows % g) == i],
         )
         v = self.v
         cols_piece, need_cols = sched.fetch_rows_piece(
-            t,
             phase="panel_cols",
             tag=sched.tag(_TAG_COLS, t),
             pool=below_rows,
             vals_1d=l21,
-            my_1d_rows=my_l21_rows,
             chunk=chunk,
             need_rows_of=lambda rows, i, j: rows[
                 ((rows // v) % g) == j

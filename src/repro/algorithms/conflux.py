@@ -172,21 +172,19 @@ class _ConfluxRank(Rank25D):
 
         # -- step 4: scatter A10 (non-pivot panel rows) to 1D layout ----
         a10_rows = sched.assign_1d(nonpivot_rows, self.grid_rank)
-        recv_plan_a10 = sched.scatter_rows(
-            t,
+        panel_ranks = np.array([gd.rank_of(i, q, lt) for i in range(g)])
+        c_rows = sched.scatter_rows(
             phase="scatter_a10",
             tag=sched.tag(_TAG_A10_SCATTER, t),
             row_pool=nonpivot_rows,
-            holder=lambda r: gd.rank_of(r % g, q, lt),
+            holders=panel_ranks[nonpivot_rows % g],
             values=panel_true,
-            value_rows=my_active_rows
-            if panel_true is not None
-            else None,
+            value_rows=my_active_rows,
+            w=w,
         )
         # -- step 7: local trsm A10 <- C U00^{-1} ------------------------
         _, u00 = split_lu(a00)
         if len(a10_rows):
-            c_rows = sched.assemble_rows(recv_plan_a10, a10_rows, w)
             a10_vals = trsm_upper(u00, c_rows, side="right")
             self.l_pieces.append((t, a10_rows.copy(), a10_vals))
         else:
@@ -194,7 +192,6 @@ class _ConfluxRank(Rank25D):
 
         # -- step 5: reduce the pivot rows' trailing values -------------
         trail_local = sched.trailing_local_cols(t)
-        trail_cols = self.my_cols[trail_local]
         my_pivot_rows = pivot_ids[(pivot_ids % g) == self.pi]
         pivot_true = None
         if len(my_pivot_rows) and len(trail_local):
@@ -214,8 +211,6 @@ class _ConfluxRank(Rank25D):
             tag=sched.tag(_TAG_A01_SCATTER, t),
             pivot_ids=pivot_ids,
             pivot_true=pivot_true,
-            my_pivot_rows=my_pivot_rows,
-            my_trail_cols=trail_cols,
             my_assigned_cols=a01_cols,
         )
         # -- step 9: local trsm A01 <- L00^{-1} C ------------------------
@@ -228,22 +223,18 @@ class _ConfluxRank(Rank25D):
         # -- steps 8 + 10: fetch 2.5D panel pieces ----------------------
         chunk = sched.sender_chunks(w)[self.layer]
         a10_piece, piece_rows = sched.fetch_rows_piece(
-            t,
             phase="panel_a10",
             tag=sched.tag(_TAG_A10_PANEL, t),
             pool=nonpivot_rows,
             vals_1d=a10_vals,
-            my_1d_rows=a10_rows,
             chunk=chunk,
             need_rows_of=lambda rows, i, j: rows[(rows % g) == i],
         )
         a01_piece, piece_cols = sched.fetch_cols_piece(
-            t,
             phase="panel_a01",
             tag=sched.tag(_TAG_A01_PANEL, t),
             pool=all_trailing,
             vals_1d=a01_vals,
-            my_1d_cols=a01_cols,
             chunk=chunk,
         )
 

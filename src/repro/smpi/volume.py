@@ -139,11 +139,6 @@ class VolumeLedger:
     def pop_phase(self, rank: int) -> None:
         self._phase_stack[rank].pop()
 
-    def set_phase(self, rank: int, phase: str | None) -> None:
-        """Replace the rank's whole scope stack (legacy single-level
-        API); prefer :meth:`push_phase`/:meth:`pop_phase`."""
-        self._phase_stack[rank][:] = [] if phase is None else [phase]
-
     def current_phase(self, rank: int) -> str | None:
         """Attribution label for the rank's current scope.
 
@@ -181,12 +176,6 @@ class VolumeLedger:
         with self._lock:
             self._recv[rank] += nbytes
 
-    def sent(self, rank: int) -> int:
-        return self._sent[rank]
-
-    def received(self, rank: int) -> int:
-        return self._recv[rank]
-
     def snapshot(self) -> VolumeReport:
         with self._lock:
             return VolumeReport(
@@ -197,11 +186,3 @@ class VolumeLedger:
                 phase_bytes=dict(self._phase_bytes),
                 phase_messages=dict(self._phase_msgs),
             )
-
-    def reset(self) -> None:
-        with self._lock:
-            self._sent = [0] * self.nranks
-            self._recv = [0] * self.nranks
-            self._msgs = [0] * self.nranks
-            self._phase_bytes.clear()
-            self._phase_msgs.clear()

@@ -412,15 +412,6 @@ class TestPhaseMessageCounts:
         _, report = run_spmd(2, fn)
         assert report.phase_messages == {"a": 2, "b": 1}
 
-    def test_reset_clears_phase_messages(self):
-        from repro.smpi.volume import VolumeLedger
-
-        ledger = VolumeLedger(2)
-        ledger.set_phase(0, "x")
-        ledger.record_send(0, 10)
-        ledger.reset()
-        assert ledger.snapshot().phase_messages == {}
-
 
 class TestDeterminism:
     """The thread runtime must be fully deterministic: same inputs,
